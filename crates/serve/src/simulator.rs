@@ -240,7 +240,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// What the heap-scheduled engine pops from its [`EventQueue`]: a request
+/// What the heap driver pops from its [`EventQueue`]: a request
 /// arrival, the CC stage finishing a prefill chunk, or the MC stage
 /// finishing a decode step. DMA spill/restore transfers complete *within*
 /// the chunk or step that forced them (the engine model serialises them
@@ -249,8 +249,8 @@ impl Default for ServeConfig {
 enum Event {
     /// Request `states[i]` enters the CC queue.
     Arrival(usize),
-    /// The CC stage finishes the current prefill chunk of `states[i]`.
-    ChunkDone(usize),
+    /// The CC stage finishes its running prefill chunk.
+    ChunkDone,
     /// The MC stage finishes the decode step of the current batch.
     StepDone,
 }
@@ -413,32 +413,10 @@ impl<'a> ServeSimulator<'a> {
     /// # Panics
     ///
     /// Panics if a configured batch capacity, chunk budget or KV block size
-    /// is zero.
+    /// is zero, or if prefix sharing, spill-and-restore or eager KV
+    /// accounting is configured without paged allocation.
     pub fn new(machine: &'a Machine, model: MllmConfig, config: ServeConfig) -> Self {
-        assert!(
-            config.batch_cap != Some(0),
-            "batch capacity must be at least 1"
-        );
-        assert!(
-            config.chunk_tokens != Some(0),
-            "chunk budget must be at least one token"
-        );
-        assert!(
-            config.block_tokens != Some(0),
-            "KV block size must be at least one token"
-        );
-        assert!(
-            config.block_tokens.is_some() || !config.prefix_sharing,
-            "prefix sharing requires paged allocation (block_tokens)"
-        );
-        assert!(
-            config.block_tokens.is_some() || config.spill_capacity_bytes.is_none(),
-            "spill-and-restore requires paged allocation (block_tokens)"
-        );
-        assert!(
-            config.block_tokens.is_some() || !config.eager_kv_accounting,
-            "eager KV accounting requires paged allocation (block_tokens)"
-        );
+        validate(&config, &[]);
         let kv_bytes_per_token = Bytes::per_token(
             model
                 .llm
@@ -769,21 +747,6 @@ impl<'a> ServeSimulator<'a> {
         true
     }
 
-    /// Price a KV image transfer (spill, restore or copy-on-write) on the
-    /// serial DMA engine: the cycles from `now` until the transfer
-    /// completes, including any queueing behind an earlier transfer still
-    /// in flight. Zero when no engine is configured or nothing moves.
-    fn dma_transfer_cycles(dma: &mut Option<DmaEngine>, bytes: Bytes, now: Cycles) -> Cycles {
-        let Some(engine) = dma.as_mut() else {
-            return Cycles::ZERO;
-        };
-        if bytes.is_zero() {
-            return Cycles::ZERO;
-        }
-        let transcript = engine.submit(DmaRequest::new(bytes, MemTrafficClass::KvCache), now);
-        transcript.end_cycle - now
-    }
-
     /// Cycles of one stream-batched decode step for the given batch members
     /// under the pool's current KV traffic scaling.
     ///
@@ -905,11 +868,17 @@ impl<'a> ServeSimulator<'a> {
         total
     }
 
-    /// The pre-heap reference engine: the original advance-and-scan event
-    /// loop, kept verbatim as the behavioural oracle for the heap-scheduled
-    /// [`Self::run`]. The differential harness (this crate's unit tests and
-    /// the workspace `tests/properties.rs`) replays traces through both and
-    /// asserts byte-identical [`ServeReport`]s.
+    /// The reference driver: the shared engine state machine stepped by an
+    /// advance-and-scan loop. Each iteration min-scans the next
+    /// arrival, the running chunk's end and the running step's end, and
+    /// every decode step is priced from scratch by [`Self::step_cycles`] /
+    /// [`Self::paged_step_cycles`]. Everything else — admission, the CC pick
+    /// and its KV gate, the decode join, slot revocation, growth-pressure
+    /// eviction, sampling and the report — is the engine [`Self::run`]
+    /// drives too, so the differential harness (this crate's unit tests and
+    /// the workspace `tests/properties.rs`), which asserts byte-identical
+    /// [`ServeReport`]s, isolates exactly what the heap driver replaces:
+    /// how time advances and how a step is priced.
     ///
     /// Compiled for this crate's tests and behind the `reference` feature
     /// for external harnesses; it is not part of the production API.
@@ -924,657 +893,166 @@ impl<'a> ServeSimulator<'a> {
         requests: &[ServeRequest],
         policy: &dyn SchedulePolicy,
     ) -> ServeReport {
-        let clock_hz = self.clock_hz();
-        let mut states: Vec<InFlight> = requests.iter().map(|r| self.admit(r)).collect();
-        {
-            let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), requests.len(), "request ids must be unique");
-        }
-
-        // Arrival order, stable on (cycle, id).
-        let mut order: Vec<usize> = (0..states.len()).collect();
-        order.sort_by_key(|&i| (states[i].arrival_cycle, states[i].request.id));
-
+        let mut scratch = ServeScratch::new();
+        let mut engine = Engine::new(self, policy, requests, &mut scratch);
+        let mut kv_costs = HashMap::new();
         let mut next_arrival = 0usize;
-        let mut cc_queue: Vec<usize> = Vec::new();
-        let mut ready: Vec<usize> = Vec::new();
-        let mut batch: Vec<usize> = Vec::new();
-        let mut cc_busy: Option<(Cycles, usize)> = None;
+        let mut chunk_end: Option<Cycles> = None;
         let mut step_end: Option<Cycles> = None;
-        let mut kv = self.config.kv;
-        // Paged mode replaces the flat pool's whole-request reservations
-        // with block-granular tables plus a memoised per-context KV-cost
-        // cache (shared across streams — they serve the same model).
-        let mut paged = self.config.block_tokens.map(|block_tokens| {
-            let pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
-            match self.config.spill_capacity_bytes {
-                Some(capacity) => pool.with_spill_capacity(capacity),
-                None => pool,
-            }
-        });
-        let sharing = self.config.prefix_sharing;
-        let spilling = self.config.spill_capacity_bytes.is_some();
-        // CC dispatches consult the pool (and may be refused) when prefix
-        // attaches or eager chunk accounting allocate blocks there.
-        let cc_gated = sharing || self.config.eager_kv_accounting;
-        // Any of the three features can leave ready/CC streams holding pool
-        // blocks, which closes the PR 5 sole-owner guarantees — the forced
-        // admission paths below reopen them, gated off in PR 5 mode.
-        let accounted = cc_gated || spilling;
-        // Spill images and copy-on-write copies move over the MC clusters'
-        // share of the DRAM interface, serially per the engine model.
-        let mut dma: Option<DmaEngine> =
-            paged.as_ref().filter(|_| sharing || spilling).map(|pool| {
-                let config = self.machine.config();
-                let share = config.allocation.mc_share;
-                let share = if share > 0.0 { share } else { 1.0 };
-                DmaEngine::new(config.dram, pool.block_bytes(), share)
-            });
-        let mut kv_costs: HashMap<usize, (OpCost, OpCost)> = HashMap::new();
-        let mut restarted_prefill_tokens = Tokens::ZERO;
-        let mut completed_order: Vec<usize> = Vec::new();
-        let mut rejected_order: Vec<(usize, Cycles)> = Vec::new();
-        let mut queue_samples: Vec<QueueSample> = Vec::new();
-        let mut decode_steps = 0u64;
-        let mut preemptions = 0u64;
-        // The request whose chunk just finished and went back to the queue:
-        // the only request a pick can *preempt* (displace mid-prefill).
-        let mut cc_resumable: Option<usize> = None;
-
         loop {
-            // Earliest pending event across the three sources.
-            let mut next: Option<Cycles> = None;
-            let mut consider = |t: Cycles| next = Some(next.map_or(t, |n: Cycles| n.min(t)));
-            if next_arrival < order.len() {
-                consider(states[order[next_arrival]].arrival_cycle);
-            }
-            if let Some((end, _)) = cc_busy {
-                consider(end);
-            }
-            if let Some(end) = step_end {
-                consider(end);
-            }
-            let Some(now) = next else { break };
-
+            let arrival = engine
+                .order
+                .get(next_arrival)
+                .map(|&idx| engine.states[idx].arrival_cycle);
+            let Some(now) = [arrival, chunk_end, step_end].into_iter().flatten().min() else {
+                break;
+            };
             // Drain everything due at `now` before dispatching, so a request
             // arriving or finishing a chunk exactly at a step boundary can be
-            // considered for the very next step. Arrivals first (the CC pick
-            // must see them), then the chunk completion, then the step.
-            while next_arrival < order.len() && states[order[next_arrival]].arrival_cycle <= now {
-                cc_queue.push(order[next_arrival]);
+            // considered for the very next step.
+            while engine
+                .order
+                .get(next_arrival)
+                .is_some_and(|&idx| engine.states[idx].arrival_cycle <= now)
+            {
+                engine.on_arrival(engine.order[next_arrival]);
                 next_arrival += 1;
             }
-            if let Some((end, idx)) = cc_busy {
-                if end <= now {
-                    let done = states[idx].chunks_done;
-                    let chunk = states[idx].chunk_cycles[done];
-                    states[idx].remaining_prefill_cycles -= chunk;
-                    states[idx].chunks_done = done + 1;
-                    if states[idx].prefill_finished() {
-                        // TTFT freezes at the *first* prefill completion; an
-                        // eviction re-prefill (paged mode) re-materialises
-                        // KV without moving the recorded first token.
-                        if !states[idx].has_first_token {
-                            states[idx].prefill_end = now;
-                            states[idx].has_first_token = true;
-                        }
-                        ready.push(idx);
-                    } else {
-                        // Back to the queue: the policy decides at the chunk
-                        // boundary whether this prefill continues or an
-                        // urgent arrival preempts it.
-                        cc_queue.push(idx);
-                        cc_resumable = Some(idx);
-                    }
-                    cc_busy = None;
-                }
+            if chunk_end.is_some_and(|end| end <= now) {
+                chunk_end = None;
+                engine.on_chunk_done(now);
             }
-            if let Some(end) = step_end {
-                if end <= now {
-                    for &idx in &batch {
-                        states[idx].remaining_tokens -= 1;
-                        states[idx].generated += 1;
-                    }
-                    batch.retain(|&idx| {
-                        let finished = states[idx].remaining_tokens == 0;
-                        if finished {
-                            states[idx].finish = now;
-                            match paged.as_mut() {
-                                Some(pool) => pool.release(&mut states[idx].table),
-                                None => kv.release(states[idx].kv_bytes),
-                            }
-                            completed_order.push(idx);
-                        }
-                        !finished
-                    });
-                    step_end = None;
-                }
+            if step_end.is_some_and(|end| end <= now) {
+                step_end = None;
+                engine.on_step_done(now);
             }
-
-            // Dispatch the serial CC stage: one prefill chunk at a time,
-            // chosen by the policy from a snapshot of the queue. Admission
-            // control first splits the queue on TTFT slack (for requests
-            // mid-prefill, the slack of their *remaining* chunks).
-            if cc_busy.is_none() && !cc_queue.is_empty() {
-                if self.config.admission == AdmissionControl::Reject {
-                    let mut i = 0;
-                    while i < cc_queue.len() {
-                        let idx = cc_queue[i];
-                        if states[idx].ttft_feasible_at(now) {
-                            i += 1;
-                        } else {
-                            cc_queue.swap_remove(i);
-                            // Blocks the reject already holds (an attached
-                            // prefix, eager-accounted chunks) go back to the
-                            // pool; a no-op for the empty PR 5 tables. A
-                            // spilled image is read back and dropped so the
-                            // spill area's accounting settles (unpriced: the
-                            // reject leaves the system).
-                            if let Some(pool) = paged.as_mut() {
-                                if let Some(ticket) = states[idx].spill.take() {
-                                    pool.try_restore(&mut states[idx].table, &ticket, true);
-                                }
-                                pool.release(&mut states[idx].table);
-                            }
-                            rejected_order.push((idx, now));
-                        }
-                    }
-                }
-                // Positions into `cc_queue` the policy may choose from:
-                // everything, or (under deferral) the feasible subset when
-                // one exists.
-                let pool: Vec<usize> = if self.config.admission == AdmissionControl::Defer {
-                    let feasible: Vec<usize> = (0..cc_queue.len())
-                        .filter(|&pos| states[cc_queue[pos]].ttft_feasible_at(now))
-                        .collect();
-                    if feasible.is_empty() {
-                        (0..cc_queue.len()).collect()
-                    } else {
-                        feasible
-                    }
-                } else {
-                    (0..cc_queue.len()).collect()
+            if let Some(end) = engine.dispatch_cc(now) {
+                chunk_end = Some(end);
+            }
+            if let Some(dma_cycles) = engine.dispatch_mc(now) {
+                let (states, batch) = (&engine.states, &engine.batch);
+                let step = match &engine.memory {
+                    Memory::Flat(kv) => self.step_cycles(states, batch, kv.kv_traffic_factor()),
+                    Memory::Paged(pool) => self.paged_step_cycles(
+                        states,
+                        batch,
+                        pool.kv_traffic_factor(),
+                        &mut kv_costs,
+                    ),
                 };
-                if !pool.is_empty() {
-                    // Two passes under CC-side KV gating: every candidate is
-                    // first tried within the budget; if all are refused while
-                    // nothing is decoding and nothing is ready to decode, the
-                    // queued prefills hold every pool block between them and
-                    // refusing them all would deadlock — the second pass
-                    // admits the policy's pick by force.
-                    'dispatch: for force in [false, true] {
-                        if force && !(cc_gated && batch.is_empty() && ready.is_empty()) {
-                            break;
-                        }
-                        let mut candidates = pool.clone();
-                        let mut snapshot: Vec<QueuedRequest> = candidates
-                            .iter()
-                            .map(|&pos| states[cc_queue[pos]].as_queued())
-                            .collect();
-                        while !candidates.is_empty() {
-                            let pick = policy.choose(&snapshot);
-                            assert!(
-                                pick < candidates.len(),
-                                "policy {} returned index {pick} for a queue of {}",
-                                policy.name(),
-                                candidates.len()
-                            );
-                            let idx = cc_queue[candidates[pick]];
-                            // A refused candidate is skipped this round and
-                            // the policy re-picks among the rest — it
-                            // retries once memory drains.
-                            if cc_gated {
-                                // lint:allow(no-unwrap): cc gating implies paged mode
-                                let kv_pool = paged.as_mut().expect("gating needs a pool");
-                                if force {
-                                    // Make room before forcing: park every
-                                    // *other* queued prefill's eager KV in the
-                                    // DRAM spill area (each reads it back when
-                                    // it next reaches the stage), so the
-                                    // forced stream runs against a drained
-                                    // pool instead of blowing past the budget.
-                                    // Without a spill area this is a no-op and
-                                    // the gate's forced growth is the only
-                                    // escape.
-                                    for &other in cc_queue.iter() {
-                                        if other == idx
-                                            || states[other].spill.is_some()
-                                            || states[other].table.is_empty()
-                                        {
-                                            continue;
-                                        }
-                                        if let Some(ticket) =
-                                            kv_pool.try_spill(&mut states[other].table)
-                                        {
-                                            states[idx].pending_copy_bytes += ticket.bytes();
-                                            states[other].spill = Some(ticket);
-                                        }
-                                    }
-                                }
-                                if !self.cc_chunk_gate(&mut states[idx], kv_pool, force) {
-                                    candidates.swap_remove(pick);
-                                    snapshot.swap_remove(pick);
-                                    continue;
-                                }
-                            }
-                            cc_queue.swap_remove(candidates[pick]);
-                            // A preemption is a pick that displaces the request
-                            // whose chunk just ran: it wanted to continue (it is
-                            // still queued mid-prefill) and something else took the
-                            // stage at its chunk boundary. Continuing an earlier
-                            // victim while the queue holds other mid-prefill
-                            // requests is not a *new* preemption.
-                            if cc_resumable
-                                .is_some_and(|prev| idx != prev && cc_queue.contains(&prev))
-                            {
-                                preemptions += 1;
-                            }
-                            cc_resumable = None;
-                            if states[idx].chunks_done == 0 {
-                                states[idx].prefill_start = now;
-                            }
-                            // A freshly attached prefix owes its copy-on-write
-                            // bytes: the DMA transfer extends this chunk.
-                            let copied =
-                                std::mem::replace(&mut states[idx].pending_copy_bytes, Bytes::ZERO);
-                            let copy_cycles = Self::dma_transfer_cycles(&mut dma, copied, now);
-                            let chunk = states[idx].chunk_cycles[states[idx].chunks_done];
-                            cc_busy = Some((now + chunk + copy_cycles, idx));
-                            break 'dispatch;
-                        }
-                    }
-                }
+                step_end = Some(now + step + dma_cycles);
             }
-
-            // Dispatch the MC stage: top the batch up from the ready set in
-            // the policy's join order (continuous batching). A join must fit
-            // the KV pool's headroom and the optional hard cap; when the
-            // policy's next pick does not fit, the top-up stops — the pick
-            // blocks at the head of the ready queue until a finishing
-            // stream releases KV bytes (no bypass, so the policy's order is
-            // honoured under memory pressure too). In paged mode a blocked
-            // pick may instead *revoke* the slot of a strictly-less-urgent
-            // running stream, and every stream's table must grow for the
-            // token the step will generate before the step is priced.
-            if step_end.is_none() {
-                let has_slot =
-                    |batch_len: usize| self.config.batch_cap.map_or(true, |cap| batch_len < cap);
-                match paged.as_mut() {
-                    None => {
-                        if has_slot(batch.len()) && !ready.is_empty() {
-                            // Snapshot the ready set once per top-up;
-                            // `swap_remove` on both vectors in lockstep
-                            // keeps indices aligned.
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            while has_slot(batch.len()) && !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                if !kv.try_reserve(states[ready[pick]].kv_bytes) {
-                                    break;
-                                }
-                                snapshot.swap_remove(pick);
-                                let idx = ready.swap_remove(pick);
-                                states[idx].decode_start = now;
-                                batch.push(idx);
-                            }
-                        }
-                        if !batch.is_empty() {
-                            step_end = Some(
-                                now + self.step_cycles(&states, &batch, kv.kv_traffic_factor()),
-                            );
-                            decode_steps += 1;
-                        }
-                    }
-                    Some(pool) => {
-                        // DMA cycles this dispatch owes: spilled or restored
-                        // KV images and copy-on-write transfers extend the
-                        // decode step that forced them.
-                        let mut dma_cycles = Cycles::ZERO;
-                        // The least-urgent batch member by (priority,
-                        // arrival, id): the eviction victim whenever one
-                        // must be chosen. Deterministic, so equal-priority
-                        // pressure always resolves the same way (the later
-                        // arrival loses) and cannot ping-pong.
-                        let worst_of = |states: &[InFlight], batch: &[usize]| -> Option<usize> {
-                            batch
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|&(_, &v)| {
-                                    let s = &states[v];
-                                    (s.request.slo.priority, s.arrival_cycle, s.request.id)
-                                })
-                                .map(|(pos, _)| pos)
-                        };
-                        if !ready.is_empty() {
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            'topup: while !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                let idx = ready[pick];
-                                let admit = |states: &mut Vec<InFlight>,
-                                             batch: &mut Vec<usize>,
-                                             pool: &mut PagedKvPool,
-                                             dma: &mut Option<DmaEngine>,
-                                             dma_cycles: &mut Cycles|
-                                 -> bool {
-                                    has_slot(batch.len()) && {
-                                        if let Some(ticket) = states[idx].spill {
-                                            // A spilled stream re-joins by
-                                            // reading its image back; forced
-                                            // when the batch is empty, so
-                                            // decode progresses even while
-                                            // queued streams hold blocks.
-                                            let force = batch.is_empty();
-                                            if pool.try_restore(
-                                                &mut states[idx].table,
-                                                &ticket,
-                                                force,
-                                            ) {
-                                                states[idx].spill = None;
-                                                *dma_cycles += Self::dma_transfer_cycles(
-                                                    dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        } else {
-                                            let context = Tokens::new(states[idx].context_tokens());
-                                            if pool.try_grow_to(&mut states[idx].table, context) {
-                                                true
-                                            } else if accounted && batch.is_empty() {
-                                                // Queued streams hold pool
-                                                // blocks, so the sole-owner
-                                                // hatch cannot open; force the
-                                                // join — decode must drain.
-                                                pool.grow_to_forced(
-                                                    &mut states[idx].table,
-                                                    context,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        }
-                                    }
-                                };
-                                if !admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles)
-                                {
-                                    // Priority-aware decode-slot revocation:
-                                    // only strictly-less-urgent streams can
-                                    // be evicted for the pick, so equal
-                                    // priorities wait instead of thrashing —
-                                    // and only when revoking *all* of them
-                                    // would actually admit the pick, so a
-                                    // victim never pays the re-prefill
-                                    // recompute for nothing.
-                                    let evictable: Vec<usize> = batch
-                                        .iter()
-                                        .filter(|&&v| {
-                                            states[v].request.slo.priority
-                                                > states[idx].request.slo.priority
-                                        })
-                                        .copied()
-                                        .collect();
-                                    let freed: u64 = evictable
-                                        .iter()
-                                        .map(|&v| pool.reclaimable_blocks(&states[v].table))
-                                        .sum();
-                                    let needed = match states[idx].spill {
-                                        // A spilled pick re-admits by restoring
-                                        // its whole image, not by growing from
-                                        // an empty table.
-                                        Some(ticket) => ticket.blocks(),
-                                        None => pool
-                                            .blocks_for(Tokens::new(states[idx].context_tokens()))
-                                            .saturating_sub(states[idx].table.blocks()),
-                                    };
-                                    let occupied = pool.occupied_blocks();
-                                    // Evicting the whole batch makes the pick
-                                    // the sole owner (the escape hatch always
-                                    // admits it); otherwise the freed blocks
-                                    // must leave room under the budget.
-                                    let kv_feasible = evictable.len() == batch.len()
-                                        || pool
-                                            .block_bytes()
-                                            .checked_mul(occupied - freed + needed)
-                                            .unwrap_or(Bytes::MAX)
-                                            <= pool.budget_bytes();
-                                    let slot_feasible = has_slot(batch.len() - evictable.len());
-                                    if !(kv_feasible && slot_feasible) {
-                                        break 'topup;
-                                    }
-                                    loop {
-                                        let pos = worst_of(&states, &batch)
-                                            .filter(|&pos| {
-                                                states[batch[pos]].request.slo.priority
-                                                    > states[idx].request.slo.priority
-                                            })
-                                            // lint:allow(no-unwrap): kv_feasible checked above
-                                            .expect("feasibility guaranteed a victim");
-                                        let victim = batch.remove(pos);
-                                        // Spill-and-restore when the area has
-                                        // room: the victim's KV image parks in
-                                        // DRAM and it re-queues for
-                                        // re-admission with its state intact;
-                                        // recompute from scratch is the
-                                        // fallback (area full or none).
-                                        match pool.try_spill(&mut states[victim].table) {
-                                            Some(ticket) => {
-                                                dma_cycles += Self::dma_transfer_cycles(
-                                                    &mut dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                states[victim].spill = Some(ticket);
-                                                ready.push(victim);
-                                                snapshot.push(states[victim].as_queued());
-                                            }
-                                            None => {
-                                                pool.evict(&mut states[victim].table);
-                                                restarted_prefill_tokens +=
-                                                    Tokens::new(states[victim].context_tokens());
-                                                self.requeue_for_reprefill(&mut states[victim]);
-                                                cc_queue.push(victim);
-                                            }
-                                        }
-                                        if admit(
-                                            &mut states,
-                                            &mut batch,
-                                            pool,
-                                            &mut dma,
-                                            &mut dma_cycles,
-                                        ) {
-                                            break;
-                                        }
-                                    }
-                                }
-                                snapshot.swap_remove(pick);
-                                ready.swap_remove(pick);
-                                if states[idx].decode_start == 0 {
-                                    states[idx].decode_start = now;
-                                }
-                                batch.push(idx);
-                            }
-                        }
-                        // Growth: room for the token each stream generates
-                        // this step. Under pressure the least-urgent member
-                        // is evicted — possibly the grower itself; a sole
-                        // remaining stream always grows (the pool's
-                        // sole-owner escape hatch), so this terminates.
-                        let mut i = 0;
-                        while i < batch.len() {
-                            let idx = batch[i];
-                            let target = Tokens::new(states[idx].context_tokens() + 1);
-                            if pool.try_grow_to(&mut states[idx].table, target) {
-                                i += 1;
-                                continue;
-                            }
-                            if accounted && batch.len() == 1 {
-                                // Sole batch member, but CC/ready streams hold
-                                // accounted blocks so the pool's own
-                                // sole-owner hatch stays shut: force the
-                                // growth — decode must always progress.
-                                pool.grow_to_forced(&mut states[idx].table, target);
-                                i += 1;
-                                continue;
-                            }
-                            // lint:allow(no-unwrap): loop guard keeps batch non-empty
-                            let pos = worst_of(&states, &batch).expect("non-empty batch");
-                            let victim = batch.remove(pos);
-                            match pool.try_spill(&mut states[victim].table) {
-                                Some(ticket) => {
-                                    dma_cycles +=
-                                        Self::dma_transfer_cycles(&mut dma, ticket.bytes(), now);
-                                    states[victim].spill = Some(ticket);
-                                    ready.push(victim);
-                                }
-                                None => {
-                                    pool.evict(&mut states[victim].table);
-                                    restarted_prefill_tokens +=
-                                        Tokens::new(states[victim].context_tokens());
-                                    self.requeue_for_reprefill(&mut states[victim]);
-                                    cc_queue.push(victim);
-                                }
-                            }
-                            if pos < i {
-                                i -= 1;
-                            }
-                        }
-                        if !batch.is_empty() {
-                            // Spill/restore/copy DMA serialises with the step
-                            // that triggered it: the batch stalls until the
-                            // images have moved.
-                            step_end = Some(
-                                now + self.paged_step_cycles(
-                                    &states,
-                                    &batch,
-                                    pool.kv_traffic_factor(),
-                                    &mut kv_costs,
-                                ) + dma_cycles,
-                            );
-                            decode_steps += 1;
-                        }
-                    }
-                }
-            }
-
-            queue_samples.push(QueueSample {
-                time_s: now.seconds_at(clock_hz),
-                waiting: cc_queue.len() + ready.len(),
-                active: batch.len(),
-                kv_bytes: paged
-                    .as_ref()
-                    .map_or(kv.reserved_bytes(), |pool| pool.occupied_bytes()),
-            });
+            engine.sample(now);
         }
-
-        self.assemble_report(
-            &states,
-            &completed_order,
-            &rejected_order,
-            queue_samples,
-            decode_steps,
-            preemptions,
-            restarted_prefill_tokens,
-            &kv,
-            paged.as_ref(),
-        )
+        engine.finish(&mut scratch)
     }
 
-    /// Assemble the [`ServeReport`] from the engine's final state. Shared by
-    /// the heap engine and the reference engine, so the two can only ever
-    /// differ in the state they hand over — never in how it is summarised.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_report(
+    /// Serve a trace of requests under `policy` and report per-request
+    /// timelines plus aggregate metrics.
+    ///
+    /// This is the heap driver of the engine state machine: arrivals,
+    /// prefill-chunk completions and decode-step completions are events in
+    /// an [`EventQueue`] keyed on `(Cycles, seq)`, popped in deterministic
+    /// order by a monotonic [`Clock`] instead of min-scanned. Step pricing
+    /// is incremental (see the private `paged_step_cycles_fast` and
+    /// `step_cycles_memo` helpers). The produced [`ServeReport`] is
+    /// byte-identical to the reference driver's — pinned by the
+    /// differential suite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two requests share an id or a policy returns an
+    /// out-of-range index.
+    pub fn run(&self, requests: &[ServeRequest], policy: &dyn SchedulePolicy) -> ServeReport {
+        self.run_with_scratch(requests, policy, &mut ServeScratch::new())
+    }
+
+    /// [`Self::run`] reusing the allocations in `scratch`.
+    ///
+    /// Byte-identical to [`Self::run`] for any scratch — the scratch
+    /// carries capacity, never state (see [`ServeScratch`]) — but skips
+    /// the per-run collection churn, which matters when one simulator
+    /// serves many traces back to back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two requests share an id or a policy returns an
+    /// out-of-range index.
+    pub fn run_with_scratch(
         &self,
-        states: &[InFlight],
-        completed_order: &[usize],
-        rejected_order: &[(usize, Cycles)],
-        queue_samples: Vec<QueueSample>,
-        decode_steps: u64,
-        preemptions: u64,
-        restarted_prefill_tokens: Tokens,
-        kv: &KvPool,
-        paged: Option<&PagedKvPool>,
+        requests: &[ServeRequest],
+        policy: &dyn SchedulePolicy,
+        scratch: &mut ServeScratch,
     ) -> ServeReport {
-        let clock_hz = self.clock_hz();
-        debug_assert_eq!(completed_order.len() + rejected_order.len(), states.len());
-        let completed: Vec<CompletedRequest> = completed_order
-            .iter()
-            .map(|&idx| {
-                let s = &states[idx];
-                CompletedRequest {
-                    id: s.request.id,
-                    arrival_s: s.arrival_cycle.seconds_at(clock_hz),
-                    prefill_start_s: s.prefill_start.seconds_at(clock_hz),
-                    prefill_end_s: s.prefill_end.seconds_at(clock_hz),
-                    decode_start_s: s.decode_start.seconds_at(clock_hz),
-                    finish_s: s.finish.seconds_at(clock_hz),
-                    output_tokens: s.request.output_tokens,
-                    slo: s.request.slo,
-                }
-            })
-            .collect();
-        let rejected: Vec<RejectedRequest> = rejected_order
-            .iter()
-            .map(|&(idx, cycle)| {
-                let s = &states[idx];
-                RejectedRequest {
-                    id: s.request.id,
-                    arrival_s: s.arrival_cycle.seconds_at(clock_hz),
-                    reject_s: cycle.seconds_at(clock_hz),
-                    slo: s.request.slo,
-                }
-            })
-            .collect();
-        let first_arrival = states
-            .iter()
-            .map(|s| s.arrival_cycle)
-            .min()
-            .unwrap_or(Cycles::ZERO);
-        // First arrival to *last completion* — a straggler that arrives
-        // after the machine drained and is promptly rejected consumed no
-        // resources and must not dilute the throughput metrics.
-        let makespan_s = completed_order.last().map_or(0.0, |&idx| {
-            (states[idx].finish - first_arrival).seconds_at(clock_hz)
-        });
-        ServeReport {
-            total_output_tokens: completed.iter().map(|r| Tokens::new(r.output_tokens)).sum(),
-            completed,
-            rejected,
-            queue_samples,
-            decode_steps,
-            preemptions,
-            evictions: paged.as_ref().map_or(0, |pool| pool.evictions()),
-            restarted_prefill_tokens,
-            spilled_kv_bytes: paged
-                .as_ref()
-                .map_or(Bytes::ZERO, |pool| pool.spilled_bytes()),
-            restored_kv_bytes: paged
-                .as_ref()
-                .map_or(Bytes::ZERO, |pool| pool.restored_bytes()),
-            peak_kv_bytes: paged
-                .as_ref()
-                .map_or(kv.peak_bytes(), |pool| pool.peak_bytes()),
-            makespan_s,
+        let mut engine = Engine::new(self, policy, requests, scratch);
+        // All arrivals enter the heap up front in arrival order, so
+        // same-cycle arrivals pop FIFO — the reference driver's drain order.
+        let mut events = std::mem::take(&mut scratch.events);
+        events.clear();
+        for &idx in &engine.order {
+            events.push(engine.states[idx].arrival_cycle, Event::Arrival(idx));
         }
+        // Step-pricing memos (see `step_cycles_memo` / `paged_step_cycles_fast`).
+        // Their keys are indices into this run's `states`, so they are
+        // cleared per run — only the table capacity is reused.
+        let mut kv_costs = std::mem::take(&mut scratch.kv_costs);
+        kv_costs.clear();
+        let mut step_memo = std::mem::take(&mut scratch.step_memo);
+        step_memo.clear();
+        let mut weight_memo = std::mem::take(&mut scratch.weight_memo);
+        weight_memo.clear();
+
+        let mut clock = Clock::new();
+        // All scheduled completions land strictly after the cycle that
+        // scheduled them (chunks and steps are clamped to ≥ 1 cycle), so the
+        // heap's minimum is each iteration's `now` and every event at that
+        // cycle belongs to that iteration.
+        while let Some(now) = events.next_cycle() {
+            clock.advance_to(now);
+            // Pop everything due at `now`, then apply the completions in the
+            // engine's drain order, independent of heap insertion order.
+            let (mut chunk_done, mut step_done) = (false, false);
+            while let Some((_, event)) = events.pop_due(now) {
+                match event {
+                    Event::Arrival(idx) => engine.on_arrival(idx),
+                    Event::ChunkDone => chunk_done = true,
+                    Event::StepDone => step_done = true,
+                }
+            }
+            if chunk_done {
+                engine.on_chunk_done(now);
+            }
+            if step_done {
+                engine.on_step_done(now);
+            }
+            if let Some(end) = engine.dispatch_cc(now) {
+                events.push(end, Event::ChunkDone);
+            }
+            if let Some(dma_cycles) = engine.dispatch_mc(now) {
+                let (states, batch) = (&engine.states, &engine.batch);
+                let step = match &engine.memory {
+                    Memory::Flat(kv) => {
+                        self.step_cycles_memo(states, batch, kv.kv_traffic_factor(), &mut step_memo)
+                    }
+                    Memory::Paged(pool) => self.paged_step_cycles_fast(
+                        states,
+                        batch,
+                        pool.kv_traffic_factor(),
+                        &mut kv_costs,
+                        &mut weight_memo,
+                    ),
+                };
+                events.push(now + step + dma_cycles, Event::StepDone);
+            }
+            engine.sample(now);
+        }
+
+        // Hand the allocations back for the next run.
+        scratch.events = events;
+        scratch.kv_costs = kv_costs;
+        scratch.step_memo = step_memo;
+        scratch.weight_memo = weight_memo;
+        engine.finish(scratch)
     }
 
     /// [`Self::step_cycles`] memoised on the decode-batch composition (and
@@ -1671,648 +1149,734 @@ impl<'a> ServeSimulator<'a> {
         let total = weight_part + even_term * kv_ops.div_ceil(2) + odd_term * (kv_ops / 2);
         total.max(Cycles::new(1))
     }
+}
 
-    /// Serve a trace of requests under `policy` and report per-request
-    /// timelines plus aggregate metrics.
-    ///
-    /// This is the heap-scheduled engine: arrivals, prefill-chunk
-    /// completions and decode-step completions are events in an
-    /// [`EventQueue`] keyed on `(Cycles, seq)`, popped in deterministic
-    /// order by a monotonic [`Clock`] instead of min-scanned from the queue
-    /// vectors. Step pricing is incremental (see the private
-    /// `paged_step_cycles_fast` and `step_cycles_memo` helpers).
-    /// The produced [`ServeReport`] is byte-identical to the reference
-    /// engine's — pinned by the differential suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
-    pub fn run(&self, requests: &[ServeRequest], policy: &dyn SchedulePolicy) -> ServeReport {
-        self.run_with_scratch(requests, policy, &mut ServeScratch::new())
-    }
+/// The one validation step of a serving run: panics on a configuration no
+/// engine can serve (a zero capacity, or a paged-only feature without paged
+/// allocation) or on a trace whose request ids repeat.
+/// [`ServeSimulator::new`] checks the configuration against an empty trace;
+/// every run re-checks it together with its own trace.
+fn validate(config: &ServeConfig, requests: &[ServeRequest]) {
+    assert!(
+        config.batch_cap != Some(0),
+        "batch capacity must be at least 1"
+    );
+    assert!(
+        config.chunk_tokens != Some(0),
+        "chunk budget must be at least one token"
+    );
+    assert!(
+        config.block_tokens != Some(0),
+        "KV block size must be at least one token"
+    );
+    assert!(
+        config.block_tokens.is_some() || !config.prefix_sharing,
+        "prefix sharing requires paged allocation (block_tokens)"
+    );
+    assert!(
+        config.block_tokens.is_some() || config.spill_capacity_bytes.is_none(),
+        "spill-and-restore requires paged allocation (block_tokens)"
+    );
+    assert!(
+        config.block_tokens.is_some() || !config.eager_kv_accounting,
+        "eager KV accounting requires paged allocation (block_tokens)"
+    );
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), requests.len(), "request ids must be unique");
+}
 
-    /// [`Self::run`] reusing the allocations in `scratch`.
-    ///
-    /// Byte-identical to [`Self::run`] for any scratch — the scratch
-    /// carries capacity, never state (see [`ServeScratch`]) — but skips
-    /// the per-run collection churn, which matters when one simulator
-    /// serves many traces back to back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
-    pub fn run_with_scratch(
-        &self,
+/// The KV capacity model decode streams are admitted against: whole-request
+/// peak reservations in a flat [`KvPool`], or block tables in a
+/// [`PagedKvPool`] (see [`ServeConfig::block_tokens`]).
+#[derive(Debug)]
+enum Memory {
+    Flat(KvPool),
+    Paged(PagedKvPool),
+}
+
+/// One serving run as a state machine over the two-stage pipeline: the CC
+/// queue and the stage's running chunk, the ready set, the decode batch,
+/// the KV memory, the DMA engine, and the counters and sample log the
+/// report is built from.
+///
+/// The engine makes every scheduling decision — TTFT admission, the CC pick
+/// and its KV gate, the decode join, slot revocation and growth-pressure
+/// eviction — and leaves its driver exactly two things: *when* events
+/// happen and *how long* a decode step takes. Per cycle `now`, a driver
+/// reports what is due in drain order — [`Self::on_arrival`] for each
+/// arrival (the CC pick must see them), then [`Self::on_chunk_done`], then
+/// [`Self::on_step_done`] — and then calls [`Self::dispatch_cc`] (which
+/// returns the started chunk's end cycle), [`Self::dispatch_mc`] (which
+/// forms the batch and returns the DMA cycles the step owes; the driver
+/// prices the step) and [`Self::sample`], in that order.
+struct Engine<'r> {
+    sim: &'r ServeSimulator<'r>,
+    policy: &'r dyn SchedulePolicy,
+    clock_hz: f64,
+    states: Vec<InFlight>,
+    /// Request indices in arrival order, stable on `(cycle, id)`.
+    order: Vec<usize>,
+    cc_queue: Vec<usize>,
+    ready: Vec<usize>,
+    batch: Vec<usize>,
+    memory: Memory,
+    /// Spill images and copy-on-write copies move over the MC clusters'
+    /// share of the DRAM interface, serially per the engine model.
+    dma: Option<DmaEngine>,
+    /// CC dispatches consult the pool (and may be refused) when prefix
+    /// attaches or eager chunk accounting allocate blocks there.
+    cc_gated: bool,
+    /// Any of prefix sharing, eager accounting and spilling can leave
+    /// ready/CC streams holding pool blocks, which shuts the pool's
+    /// sole-owner escape hatch — the forced admission paths reopen it, and
+    /// stay off when none of the three is configured.
+    accounted: bool,
+    /// The request whose chunk the CC stage is running, if any.
+    cc_busy: Option<usize>,
+    /// The request whose chunk just finished and went back to the queue:
+    /// the only request a pick can *preempt* (displace mid-prefill).
+    cc_resumable: Option<usize>,
+    step_in_flight: bool,
+    /// DMA cycles the MC dispatch in progress owes: spilled or restored KV
+    /// images extend the decode step that forced them.
+    step_dma: Cycles,
+    completed_order: Vec<usize>,
+    rejected_order: Vec<(usize, Cycles)>,
+    queue_samples: Vec<QueueSample>,
+    decode_steps: u64,
+    preemptions: u64,
+    restarted_prefill_tokens: Tokens,
+}
+
+/// `collection` taken out of a scratch slot and cleared: its capacity is
+/// reused, its contents never are.
+fn cleared<T>(collection: &mut Vec<T>) -> Vec<T> {
+    let mut collection = std::mem::take(collection);
+    collection.clear();
+    collection
+}
+
+impl<'r> Engine<'r> {
+    /// Validate the trace, admit every request and set up the KV memory and
+    /// DMA engine, taking the run's collections from `scratch`.
+    fn new(
+        sim: &'r ServeSimulator<'r>,
+        policy: &'r dyn SchedulePolicy,
         requests: &[ServeRequest],
-        policy: &dyn SchedulePolicy,
         scratch: &mut ServeScratch,
-    ) -> ServeReport {
-        let clock_hz = self.clock_hz();
-        let mut states = std::mem::take(&mut scratch.states);
-        states.clear();
-        states.extend(requests.iter().map(|r| self.admit(r)));
-        {
-            let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), requests.len(), "request ids must be unique");
-        }
-
-        // Arrival order, stable on (cycle, id). All arrivals enter the heap
-        // up front in this order, so same-cycle arrivals pop FIFO — the
-        // reference's drain order.
-        let mut order = std::mem::take(&mut scratch.order);
-        order.clear();
+    ) -> Self {
+        let config = &sim.config;
+        validate(config, requests);
+        let mut states = cleared(&mut scratch.states);
+        states.extend(requests.iter().map(|r| sim.admit(r)));
+        let mut order = cleared(&mut scratch.order);
         order.extend(0..states.len());
         order.sort_by_key(|&i| (states[i].arrival_cycle, states[i].request.id));
-
-        let mut clock = Clock::new();
-        let mut events = std::mem::take(&mut scratch.events);
-        events.clear();
-        for &idx in &order {
-            events.push(states[idx].arrival_cycle, Event::Arrival(idx));
-        }
-
-        let mut cc_queue = std::mem::take(&mut scratch.cc_queue);
-        cc_queue.clear();
-        let mut ready = std::mem::take(&mut scratch.ready);
-        ready.clear();
-        let mut batch = std::mem::take(&mut scratch.batch);
-        batch.clear();
-        // The request whose chunk the CC stage is running, if any; its
-        // completion event is in the heap (at most one outstanding, never
-        // cancelled).
-        let mut cc_busy: Option<usize> = None;
-        // Whether a decode step is in flight (its completion event is in
-        // the heap; at most one outstanding, never cancelled).
-        let mut step_in_flight = false;
-        let mut kv = self.config.kv;
-        let mut paged = self.config.block_tokens.map(|block_tokens| {
-            let pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
-            match self.config.spill_capacity_bytes {
-                Some(capacity) => pool.with_spill_capacity(capacity),
-                None => pool,
+        let memory = match config.block_tokens {
+            None => Memory::Flat(config.kv),
+            Some(block_tokens) => {
+                let pool = PagedKvPool::new(config.kv, block_tokens, sim.kv_bytes_per_token);
+                Memory::Paged(match config.spill_capacity_bytes {
+                    Some(capacity) => pool.with_spill_capacity(capacity),
+                    None => pool,
+                })
             }
-        });
-        let sharing = self.config.prefix_sharing;
-        let spilling = self.config.spill_capacity_bytes.is_some();
-        let cc_gated = sharing || self.config.eager_kv_accounting;
-        let accounted = cc_gated || spilling;
-        let mut dma: Option<DmaEngine> =
-            paged.as_ref().filter(|_| sharing || spilling).map(|pool| {
-                let config = self.machine.config();
-                let share = config.allocation.mc_share;
+        };
+        let spilling = config.spill_capacity_bytes.is_some();
+        let dma = match &memory {
+            Memory::Paged(pool) if config.prefix_sharing || spilling => {
+                let machine = sim.machine.config();
+                let share = machine.allocation.mc_share;
                 let share = if share > 0.0 { share } else { 1.0 };
-                DmaEngine::new(config.dram, pool.block_bytes(), share)
-            });
-        let mut kv_costs = std::mem::take(&mut scratch.kv_costs);
-        kv_costs.clear();
-        // Step-pricing memos (see `step_cycles_memo` / `paged_step_cycles_fast`).
-        // Their keys are indices into this run's `states`, so they are
-        // cleared per run — only the table capacity is reused.
-        let mut step_memo = std::mem::take(&mut scratch.step_memo);
-        step_memo.clear();
-        let mut weight_memo = std::mem::take(&mut scratch.weight_memo);
-        weight_memo.clear();
-        let mut restarted_prefill_tokens = Tokens::ZERO;
-        let mut completed_order = std::mem::take(&mut scratch.completed_order);
-        completed_order.clear();
-        let mut rejected_order = std::mem::take(&mut scratch.rejected_order);
-        rejected_order.clear();
-        let mut queue_samples: Vec<QueueSample> = Vec::with_capacity(scratch.samples_hint);
-        let mut decode_steps = 0u64;
-        let mut preemptions = 0u64;
-        let mut cc_resumable: Option<usize> = None;
-
-        // All scheduled completions land strictly after the cycle that
-        // scheduled them (chunks and steps are clamped to ≥ 1 cycle), so the
-        // heap's minimum is each iteration's `now` and every event at that
-        // cycle belongs to that iteration.
-        while let Some(now) = events.next_cycle() {
-            clock.advance_to(now);
-
-            // Pop everything due at `now`, then apply it grouped by kind —
-            // arrivals first (the CC pick must see them), then the chunk
-            // completion, then the step completion — the reference's drain
-            // order, independent of heap insertion order.
-            let mut chunk_done: Option<usize> = None;
-            let mut step_done = false;
-            while let Some((_, event)) = events.pop_due(now) {
-                match event {
-                    Event::Arrival(idx) => cc_queue.push(idx),
-                    Event::ChunkDone(idx) => chunk_done = Some(idx),
-                    Event::StepDone => step_done = true,
-                }
+                Some(DmaEngine::new(machine.dram, pool.block_bytes(), share))
             }
-            if let Some(idx) = chunk_done {
-                debug_assert_eq!(cc_busy, Some(idx));
-                cc_busy = None;
-                let done = states[idx].chunks_done;
-                let chunk = states[idx].chunk_cycles[done];
-                states[idx].remaining_prefill_cycles -= chunk;
-                states[idx].chunks_done = done + 1;
-                if states[idx].prefill_finished() {
-                    // TTFT freezes at the *first* prefill completion; an
-                    // eviction re-prefill (paged mode) re-materialises
-                    // KV without moving the recorded first token.
-                    if !states[idx].has_first_token {
-                        states[idx].prefill_end = now;
-                        states[idx].has_first_token = true;
-                    }
-                    ready.push(idx);
-                } else {
-                    // Back to the queue: the policy decides at the chunk
-                    // boundary whether this prefill continues or an
-                    // urgent arrival preempts it.
-                    cc_queue.push(idx);
-                    cc_resumable = Some(idx);
-                }
-            }
-            if step_done {
-                step_in_flight = false;
-                for &idx in &batch {
-                    states[idx].remaining_tokens -= 1;
-                    states[idx].generated += 1;
-                }
-                batch.retain(|&idx| {
-                    let finished = states[idx].remaining_tokens == 0;
-                    if finished {
-                        states[idx].finish = now;
-                        match paged.as_mut() {
-                            Some(pool) => pool.release(&mut states[idx].table),
-                            None => kv.release(states[idx].kv_bytes),
-                        }
-                        completed_order.push(idx);
-                    }
-                    !finished
-                });
-            }
-
-            // Dispatch the serial CC stage: one prefill chunk at a time,
-            // chosen by the policy from a snapshot of the queue. Admission
-            // control first splits the queue on TTFT slack (for requests
-            // mid-prefill, the slack of their *remaining* chunks).
-            if cc_busy.is_none() && !cc_queue.is_empty() {
-                if self.config.admission == AdmissionControl::Reject {
-                    let mut i = 0;
-                    while i < cc_queue.len() {
-                        let idx = cc_queue[i];
-                        if states[idx].ttft_feasible_at(now) {
-                            i += 1;
-                        } else {
-                            cc_queue.swap_remove(i);
-                            // Blocks the reject already holds (an attached
-                            // prefix, eager-accounted chunks) go back to the
-                            // pool; a no-op for the empty PR 5 tables. A
-                            // spilled image is read back and dropped so the
-                            // spill area's accounting settles (unpriced: the
-                            // reject leaves the system).
-                            if let Some(pool) = paged.as_mut() {
-                                if let Some(ticket) = states[idx].spill.take() {
-                                    pool.try_restore(&mut states[idx].table, &ticket, true);
-                                }
-                                pool.release(&mut states[idx].table);
-                            }
-                            rejected_order.push((idx, now));
-                        }
-                    }
-                }
-                // Positions into `cc_queue` the policy may choose from:
-                // everything, or (under deferral) the feasible subset when
-                // one exists.
-                let pool: Vec<usize> = if self.config.admission == AdmissionControl::Defer {
-                    let feasible: Vec<usize> = (0..cc_queue.len())
-                        .filter(|&pos| states[cc_queue[pos]].ttft_feasible_at(now))
-                        .collect();
-                    if feasible.is_empty() {
-                        (0..cc_queue.len()).collect()
-                    } else {
-                        feasible
-                    }
-                } else {
-                    (0..cc_queue.len()).collect()
-                };
-                if !pool.is_empty() {
-                    // Two passes under CC-side KV gating: every candidate is
-                    // first tried within the budget; if all are refused while
-                    // nothing is decoding and nothing is ready to decode, the
-                    // queued prefills hold every pool block between them and
-                    // refusing them all would deadlock — the second pass
-                    // admits the policy's pick by force.
-                    'dispatch: for force in [false, true] {
-                        if force && !(cc_gated && batch.is_empty() && ready.is_empty()) {
-                            break;
-                        }
-                        let mut candidates = pool.clone();
-                        let mut snapshot: Vec<QueuedRequest> = candidates
-                            .iter()
-                            .map(|&pos| states[cc_queue[pos]].as_queued())
-                            .collect();
-                        while !candidates.is_empty() {
-                            let pick = policy.choose(&snapshot);
-                            assert!(
-                                pick < candidates.len(),
-                                "policy {} returned index {pick} for a queue of {}",
-                                policy.name(),
-                                candidates.len()
-                            );
-                            let idx = cc_queue[candidates[pick]];
-                            // A refused candidate is skipped this round and
-                            // the policy re-picks among the rest — it
-                            // retries once memory drains.
-                            if cc_gated {
-                                // lint:allow(no-unwrap): cc gating implies paged mode
-                                let kv_pool = paged.as_mut().expect("gating needs a pool");
-                                if force {
-                                    // Make room before forcing: park every
-                                    // *other* queued prefill's eager KV in the
-                                    // DRAM spill area (each reads it back when
-                                    // it next reaches the stage), so the
-                                    // forced stream runs against a drained
-                                    // pool instead of blowing past the budget.
-                                    // Without a spill area this is a no-op and
-                                    // the gate's forced growth is the only
-                                    // escape.
-                                    for &other in cc_queue.iter() {
-                                        if other == idx
-                                            || states[other].spill.is_some()
-                                            || states[other].table.is_empty()
-                                        {
-                                            continue;
-                                        }
-                                        if let Some(ticket) =
-                                            kv_pool.try_spill(&mut states[other].table)
-                                        {
-                                            states[idx].pending_copy_bytes += ticket.bytes();
-                                            states[other].spill = Some(ticket);
-                                        }
-                                    }
-                                }
-                                if !self.cc_chunk_gate(&mut states[idx], kv_pool, force) {
-                                    candidates.swap_remove(pick);
-                                    snapshot.swap_remove(pick);
-                                    continue;
-                                }
-                            }
-                            cc_queue.swap_remove(candidates[pick]);
-                            // A preemption is a pick that displaces the request
-                            // whose chunk just ran: it wanted to continue (it is
-                            // still queued mid-prefill) and something else took the
-                            // stage at its chunk boundary. Continuing an earlier
-                            // victim while the queue holds other mid-prefill
-                            // requests is not a *new* preemption.
-                            if cc_resumable
-                                .is_some_and(|prev| idx != prev && cc_queue.contains(&prev))
-                            {
-                                preemptions += 1;
-                            }
-                            cc_resumable = None;
-                            if states[idx].chunks_done == 0 {
-                                states[idx].prefill_start = now;
-                            }
-                            // A freshly attached prefix owes its copy-on-write
-                            // bytes: the DMA transfer extends this chunk.
-                            let copied =
-                                std::mem::replace(&mut states[idx].pending_copy_bytes, Bytes::ZERO);
-                            let copy_cycles = Self::dma_transfer_cycles(&mut dma, copied, now);
-                            let chunk = states[idx].chunk_cycles[states[idx].chunks_done];
-                            events.push(now + chunk + copy_cycles, Event::ChunkDone(idx));
-                            cc_busy = Some(idx);
-                            break 'dispatch;
-                        }
-                    }
-                }
-            }
-
-            // Dispatch the MC stage: top the batch up from the ready set in
-            // the policy's join order (continuous batching). A join must fit
-            // the KV pool's headroom and the optional hard cap; when the
-            // policy's next pick does not fit, the top-up stops — the pick
-            // blocks at the head of the ready queue until a finishing
-            // stream releases KV bytes (no bypass, so the policy's order is
-            // honoured under memory pressure too). In paged mode a blocked
-            // pick may instead *revoke* the slot of a strictly-less-urgent
-            // running stream, and every stream's table must grow for the
-            // token the step will generate before the step is priced.
-            if !step_in_flight {
-                let has_slot =
-                    |batch_len: usize| self.config.batch_cap.map_or(true, |cap| batch_len < cap);
-                match paged.as_mut() {
-                    None => {
-                        if has_slot(batch.len()) && !ready.is_empty() {
-                            // Snapshot the ready set once per top-up;
-                            // `swap_remove` on both vectors in lockstep
-                            // keeps indices aligned.
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            while has_slot(batch.len()) && !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                if !kv.try_reserve(states[ready[pick]].kv_bytes) {
-                                    break;
-                                }
-                                snapshot.swap_remove(pick);
-                                let idx = ready.swap_remove(pick);
-                                states[idx].decode_start = now;
-                                batch.push(idx);
-                            }
-                        }
-                        if !batch.is_empty() {
-                            let step = self.step_cycles_memo(
-                                &states,
-                                &batch,
-                                kv.kv_traffic_factor(),
-                                &mut step_memo,
-                            );
-                            events.push(now + step, Event::StepDone);
-                            step_in_flight = true;
-                            decode_steps += 1;
-                        }
-                    }
-                    Some(pool) => {
-                        // DMA cycles this dispatch owes: spilled or restored
-                        // KV images and copy-on-write transfers extend the
-                        // decode step that forced them.
-                        let mut dma_cycles = Cycles::ZERO;
-                        // The least-urgent batch member by (priority,
-                        // arrival, id): the eviction victim whenever one
-                        // must be chosen. Deterministic, so equal-priority
-                        // pressure always resolves the same way (the later
-                        // arrival loses) and cannot ping-pong.
-                        let worst_of = |states: &[InFlight], batch: &[usize]| -> Option<usize> {
-                            batch
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|&(_, &v)| {
-                                    let s = &states[v];
-                                    (s.request.slo.priority, s.arrival_cycle, s.request.id)
-                                })
-                                .map(|(pos, _)| pos)
-                        };
-                        if !ready.is_empty() {
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            'topup: while !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                let idx = ready[pick];
-                                let admit = |states: &mut Vec<InFlight>,
-                                             batch: &mut Vec<usize>,
-                                             pool: &mut PagedKvPool,
-                                             dma: &mut Option<DmaEngine>,
-                                             dma_cycles: &mut Cycles|
-                                 -> bool {
-                                    has_slot(batch.len()) && {
-                                        if let Some(ticket) = states[idx].spill {
-                                            // A spilled stream re-joins by
-                                            // reading its image back; forced
-                                            // when the batch is empty, so
-                                            // decode progresses even while
-                                            // queued streams hold blocks.
-                                            let force = batch.is_empty();
-                                            if pool.try_restore(
-                                                &mut states[idx].table,
-                                                &ticket,
-                                                force,
-                                            ) {
-                                                states[idx].spill = None;
-                                                *dma_cycles += Self::dma_transfer_cycles(
-                                                    dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        } else {
-                                            let context = Tokens::new(states[idx].context_tokens());
-                                            if pool.try_grow_to(&mut states[idx].table, context) {
-                                                true
-                                            } else if accounted && batch.is_empty() {
-                                                // Queued streams hold pool
-                                                // blocks, so the sole-owner
-                                                // hatch cannot open; force the
-                                                // join — decode must drain.
-                                                pool.grow_to_forced(
-                                                    &mut states[idx].table,
-                                                    context,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        }
-                                    }
-                                };
-                                if !admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles)
-                                {
-                                    // Priority-aware decode-slot revocation:
-                                    // only strictly-less-urgent streams can
-                                    // be evicted for the pick, so equal
-                                    // priorities wait instead of thrashing —
-                                    // and only when revoking *all* of them
-                                    // would actually admit the pick, so a
-                                    // victim never pays the re-prefill
-                                    // recompute for nothing.
-                                    let evictable: Vec<usize> = batch
-                                        .iter()
-                                        .filter(|&&v| {
-                                            states[v].request.slo.priority
-                                                > states[idx].request.slo.priority
-                                        })
-                                        .copied()
-                                        .collect();
-                                    let freed: u64 = evictable
-                                        .iter()
-                                        .map(|&v| pool.reclaimable_blocks(&states[v].table))
-                                        .sum();
-                                    let needed = match states[idx].spill {
-                                        // A spilled pick re-admits by restoring
-                                        // its whole image, not by growing from
-                                        // an empty table.
-                                        Some(ticket) => ticket.blocks(),
-                                        None => pool
-                                            .blocks_for(Tokens::new(states[idx].context_tokens()))
-                                            .saturating_sub(states[idx].table.blocks()),
-                                    };
-                                    let occupied = pool.occupied_blocks();
-                                    // Evicting the whole batch makes the pick
-                                    // the sole owner (the escape hatch always
-                                    // admits it); otherwise the freed blocks
-                                    // must leave room under the budget.
-                                    let kv_feasible = evictable.len() == batch.len()
-                                        || pool
-                                            .block_bytes()
-                                            .checked_mul(occupied - freed + needed)
-                                            .unwrap_or(Bytes::MAX)
-                                            <= pool.budget_bytes();
-                                    let slot_feasible = has_slot(batch.len() - evictable.len());
-                                    if !(kv_feasible && slot_feasible) {
-                                        break 'topup;
-                                    }
-                                    loop {
-                                        let pos = worst_of(&states, &batch)
-                                            .filter(|&pos| {
-                                                states[batch[pos]].request.slo.priority
-                                                    > states[idx].request.slo.priority
-                                            })
-                                            // lint:allow(no-unwrap): kv_feasible checked above
-                                            .expect("feasibility guaranteed a victim");
-                                        let victim = batch.remove(pos);
-                                        // Spill-and-restore when the area has
-                                        // room: the victim's KV image parks in
-                                        // DRAM and it re-queues for
-                                        // re-admission with its state intact;
-                                        // recompute from scratch is the
-                                        // fallback (area full or none).
-                                        match pool.try_spill(&mut states[victim].table) {
-                                            Some(ticket) => {
-                                                dma_cycles += Self::dma_transfer_cycles(
-                                                    &mut dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                states[victim].spill = Some(ticket);
-                                                ready.push(victim);
-                                                snapshot.push(states[victim].as_queued());
-                                            }
-                                            None => {
-                                                pool.evict(&mut states[victim].table);
-                                                restarted_prefill_tokens +=
-                                                    Tokens::new(states[victim].context_tokens());
-                                                self.requeue_for_reprefill(&mut states[victim]);
-                                                cc_queue.push(victim);
-                                            }
-                                        }
-                                        if admit(
-                                            &mut states,
-                                            &mut batch,
-                                            pool,
-                                            &mut dma,
-                                            &mut dma_cycles,
-                                        ) {
-                                            break;
-                                        }
-                                    }
-                                }
-                                snapshot.swap_remove(pick);
-                                ready.swap_remove(pick);
-                                if states[idx].decode_start == 0 {
-                                    states[idx].decode_start = now;
-                                }
-                                batch.push(idx);
-                            }
-                        }
-                        // Growth: room for the token each stream generates
-                        // this step. Under pressure the least-urgent member
-                        // is evicted — possibly the grower itself; a sole
-                        // remaining stream always grows (the pool's
-                        // sole-owner escape hatch), so this terminates.
-                        let mut i = 0;
-                        while i < batch.len() {
-                            let idx = batch[i];
-                            let target = Tokens::new(states[idx].context_tokens() + 1);
-                            if pool.try_grow_to(&mut states[idx].table, target) {
-                                i += 1;
-                                continue;
-                            }
-                            if accounted && batch.len() == 1 {
-                                // Sole batch member, but CC/ready streams hold
-                                // accounted blocks so the pool's own
-                                // sole-owner hatch stays shut: force the
-                                // growth — decode must always progress.
-                                pool.grow_to_forced(&mut states[idx].table, target);
-                                i += 1;
-                                continue;
-                            }
-                            // lint:allow(no-unwrap): loop guard keeps batch non-empty
-                            let pos = worst_of(&states, &batch).expect("non-empty batch");
-                            let victim = batch.remove(pos);
-                            match pool.try_spill(&mut states[victim].table) {
-                                Some(ticket) => {
-                                    dma_cycles +=
-                                        Self::dma_transfer_cycles(&mut dma, ticket.bytes(), now);
-                                    states[victim].spill = Some(ticket);
-                                    ready.push(victim);
-                                }
-                                None => {
-                                    pool.evict(&mut states[victim].table);
-                                    restarted_prefill_tokens +=
-                                        Tokens::new(states[victim].context_tokens());
-                                    self.requeue_for_reprefill(&mut states[victim]);
-                                    cc_queue.push(victim);
-                                }
-                            }
-                            if pos < i {
-                                i -= 1;
-                            }
-                        }
-                        if !batch.is_empty() {
-                            // Spill/restore/copy DMA serialises with the step
-                            // that triggered it: the batch stalls until the
-                            // images have moved.
-                            let step = self.paged_step_cycles_fast(
-                                &states,
-                                &batch,
-                                pool.kv_traffic_factor(),
-                                &mut kv_costs,
-                                &mut weight_memo,
-                            );
-                            events.push(now + step + dma_cycles, Event::StepDone);
-                            step_in_flight = true;
-                            decode_steps += 1;
-                        }
-                    }
-                }
-            }
-
-            queue_samples.push(QueueSample {
-                time_s: now.seconds_at(clock_hz),
-                waiting: cc_queue.len() + ready.len(),
-                active: batch.len(),
-                kv_bytes: paged
-                    .as_ref()
-                    .map_or(kv.reserved_bytes(), |pool| pool.occupied_bytes()),
-            });
+            _ => None,
+        };
+        let cc_gated = config.prefix_sharing || config.eager_kv_accounting;
+        Engine {
+            sim,
+            policy,
+            clock_hz: sim.clock_hz(),
+            states,
+            order,
+            cc_queue: cleared(&mut scratch.cc_queue),
+            ready: cleared(&mut scratch.ready),
+            batch: cleared(&mut scratch.batch),
+            memory,
+            dma,
+            cc_gated,
+            accounted: cc_gated || spilling,
+            cc_busy: None,
+            cc_resumable: None,
+            step_in_flight: false,
+            step_dma: Cycles::ZERO,
+            completed_order: cleared(&mut scratch.completed_order),
+            rejected_order: cleared(&mut scratch.rejected_order),
+            queue_samples: Vec::with_capacity(scratch.samples_hint),
+            decode_steps: 0,
+            preemptions: 0,
+            restarted_prefill_tokens: Tokens::ZERO,
         }
+    }
 
-        scratch.samples_hint = queue_samples.len();
-        let report = self.assemble_report(
-            &states,
-            &completed_order,
-            &rejected_order,
-            queue_samples,
-            decode_steps,
-            preemptions,
-            restarted_prefill_tokens,
-            &kv,
-            paged.as_ref(),
+    /// Request `idx` arrives and queues for the CC stage.
+    fn on_arrival(&mut self, idx: usize) {
+        self.cc_queue.push(idx);
+    }
+
+    /// The CC stage finishes its running chunk at `now`. A finished prefill
+    /// moves to the ready set; an unfinished one goes back to the queue,
+    /// where the policy decides at the chunk boundary whether it continues
+    /// or an urgent arrival preempts it.
+    fn on_chunk_done(&mut self, now: Cycles) {
+        let Some(idx) = self.cc_busy.take() else {
+            return;
+        };
+        let state = &mut self.states[idx];
+        state.remaining_prefill_cycles -= state.chunk_cycles[state.chunks_done];
+        state.chunks_done += 1;
+        if state.prefill_finished() {
+            // TTFT freezes at the *first* prefill completion; an eviction
+            // re-prefill (paged mode) re-materialises KV without moving the
+            // recorded first token.
+            if !state.has_first_token {
+                state.prefill_end = now;
+                state.has_first_token = true;
+            }
+            self.ready.push(idx);
+        } else {
+            self.cc_queue.push(idx);
+            self.cc_resumable = Some(idx);
+        }
+    }
+
+    /// The MC stage finishes its decode step at `now`: every stream gains
+    /// a token, and finished streams leave the batch and release their KV.
+    fn on_step_done(&mut self, now: Cycles) {
+        self.step_in_flight = false;
+        self.batch.retain(|&idx| {
+            let state = &mut self.states[idx];
+            state.remaining_tokens -= 1;
+            state.generated += 1;
+            let finished = state.remaining_tokens == 0;
+            if finished {
+                state.finish = now;
+                match &mut self.memory {
+                    Memory::Flat(kv) => kv.release(state.kv_bytes),
+                    Memory::Paged(pool) => pool.release(&mut state.table),
+                }
+                self.completed_order.push(idx);
+            }
+            !finished
+        });
+    }
+
+    /// Dispatch the serial CC stage if it is idle: one prefill chunk at a
+    /// time, chosen by the policy from a snapshot of the queue. Admission
+    /// control first splits the queue on TTFT slack (for requests
+    /// mid-prefill, the slack of their *remaining* chunks). Returns the
+    /// cycle the started chunk ends at.
+    fn dispatch_cc(&mut self, now: Cycles) -> Option<Cycles> {
+        if self.cc_busy.is_some() || self.cc_queue.is_empty() {
+            return None;
+        }
+        let admission = self.sim.config.admission;
+        if admission == AdmissionControl::Reject {
+            self.reject_hopeless(now);
+        }
+        // Positions into `cc_queue` the policy may choose from: everything,
+        // or (under deferral) the feasible subset when one exists.
+        let everything = 0..self.cc_queue.len();
+        let positions: Vec<usize> = if admission == AdmissionControl::Defer {
+            let feasible: Vec<usize> = everything
+                .clone()
+                .filter(|&pos| self.states[self.cc_queue[pos]].ttft_feasible_at(now))
+                .collect();
+            if feasible.is_empty() {
+                everything.collect()
+            } else {
+                feasible
+            }
+        } else {
+            everything.collect()
+        };
+        // Two passes under CC-side KV gating: every candidate is first tried
+        // within the budget; if all are refused while nothing is decoding and
+        // nothing is ready to decode, the queued prefills hold every pool
+        // block between them and refusing them all would deadlock — the
+        // second pass admits the policy's pick by force.
+        for force in [false, true] {
+            if force && !(self.cc_gated && self.batch.is_empty() && self.ready.is_empty()) {
+                break;
+            }
+            let mut candidates = positions.clone();
+            let mut snapshot: Vec<QueuedRequest> = candidates
+                .iter()
+                .map(|&pos| self.states[self.cc_queue[pos]].as_queued())
+                .collect();
+            while !candidates.is_empty() {
+                let pick = self.policy.choose(&snapshot);
+                assert!(
+                    pick < candidates.len(),
+                    "policy {} returned index {pick} for a queue of {}",
+                    self.policy.name(),
+                    candidates.len()
+                );
+                // A refused candidate is skipped this round and the policy
+                // re-picks among the rest — it retries once memory drains.
+                if !self.gate_chunk(self.cc_queue[candidates[pick]], force) {
+                    candidates.swap_remove(pick);
+                    snapshot.swap_remove(pick);
+                    continue;
+                }
+                let idx = self.cc_queue.swap_remove(candidates[pick]);
+                // A preemption is a pick that displaces the request whose
+                // chunk just ran: it wanted to continue (it is still queued
+                // mid-prefill) and something else took the stage at its chunk
+                // boundary. Continuing an earlier victim while the queue holds
+                // other mid-prefill requests is not a *new* preemption.
+                if self
+                    .cc_resumable
+                    .is_some_and(|prev| idx != prev && self.cc_queue.contains(&prev))
+                {
+                    self.preemptions += 1;
+                }
+                self.cc_resumable = None;
+                self.cc_busy = Some(idx);
+                let state = &mut self.states[idx];
+                if state.chunks_done == 0 {
+                    state.prefill_start = now;
+                }
+                // A freshly attached prefix owes its copy-on-write bytes: the
+                // DMA transfer extends this chunk.
+                let copied = std::mem::replace(&mut state.pending_copy_bytes, Bytes::ZERO);
+                let chunk = state.chunk_cycles[state.chunks_done];
+                return Some(now + chunk + Self::dma_transfer_cycles(&mut self.dma, copied, now));
+            }
+        }
+        None
+    }
+
+    /// Admission control's reject mode: drop every queued request whose
+    /// TTFT deadline can no longer be met.
+    fn reject_hopeless(&mut self, now: Cycles) {
+        let mut i = 0;
+        while i < self.cc_queue.len() {
+            let idx = self.cc_queue[i];
+            if self.states[idx].ttft_feasible_at(now) {
+                i += 1;
+                continue;
+            }
+            self.cc_queue.swap_remove(i);
+            // Blocks the reject already holds (an attached prefix,
+            // eager-accounted chunks) go back to the pool; a no-op for a
+            // table that never allocated. A spilled image is read back and
+            // dropped so the spill area's accounting settles (unpriced: the
+            // reject leaves the system).
+            if let Memory::Paged(pool) = &mut self.memory {
+                let state = &mut self.states[idx];
+                if let Some(ticket) = state.spill.take() {
+                    pool.try_restore(&mut state.table, &ticket, true);
+                }
+                pool.release(&mut state.table);
+            }
+            self.rejected_order.push((idx, now));
+        }
+    }
+
+    /// The pool resources queued request `idx` needs before its next chunk
+    /// may run (see [`ServeSimulator::cc_chunk_gate`]); always open when
+    /// the CC stage is ungated. A forced pass first parks every *other*
+    /// queued prefill's eager KV in the DRAM spill area (each reads it back
+    /// when it next reaches the stage), so the forced stream runs against a
+    /// drained pool instead of blowing past the budget. Without a spill
+    /// area that is a no-op and the gate's forced growth is the only
+    /// escape.
+    fn gate_chunk(&mut self, idx: usize, force: bool) -> bool {
+        if !self.cc_gated {
+            return true;
+        }
+        // CC gating is validated to imply paged allocation.
+        let Memory::Paged(pool) = &mut self.memory else {
+            return true;
+        };
+        if force {
+            for &other in &self.cc_queue {
+                let parked = &self.states[other];
+                if other == idx || parked.spill.is_some() || parked.table.is_empty() {
+                    continue;
+                }
+                if let Some(ticket) = pool.try_spill(&mut self.states[other].table) {
+                    self.states[idx].pending_copy_bytes += ticket.bytes();
+                    self.states[other].spill = Some(ticket);
+                }
+            }
+        }
+        self.sim.cc_chunk_gate(&mut self.states[idx], pool, force)
+    }
+
+    /// Dispatch the MC stage if no step is in flight: top the batch up
+    /// ([`Self::top_up`]), grow every table for the token the step
+    /// generates ([`Self::grow_batch`]) and start the step. Returns the DMA
+    /// cycles the step owes on top of its priced cycles — spill, restore
+    /// and copy transfers serialise with the step that forced them, so the
+    /// batch stalls until the images have moved — or `None` when no step
+    /// starts.
+    fn dispatch_mc(&mut self, now: Cycles) -> Option<Cycles> {
+        if self.step_in_flight {
+            return None;
+        }
+        self.step_dma = Cycles::ZERO;
+        self.top_up(now);
+        self.grow_batch(now);
+        if self.batch.is_empty() {
+            return None;
+        }
+        self.step_in_flight = true;
+        self.decode_steps += 1;
+        Some(self.step_dma)
+    }
+
+    /// Whether a batch of `batch_len` streams is under the optional cap.
+    fn has_slot(&self, batch_len: usize) -> bool {
+        self.sim
+            .config
+            .batch_cap
+            .map_or(true, |cap| batch_len < cap)
+    }
+
+    /// Top the batch up from the ready set in the policy's join order
+    /// (continuous batching). A join must fit the KV memory's headroom and
+    /// the optional hard cap; when the policy's next pick does not fit, the
+    /// top-up stops — the pick blocks at the head of the ready queue until
+    /// a finishing stream releases KV bytes (no bypass, so the policy's
+    /// order is honoured under memory pressure too). In paged mode a
+    /// blocked pick may instead *revoke* the slot of a strictly-less-urgent
+    /// running stream ([`Self::revoke_for`]), so a full batch ends only a
+    /// flat top-up.
+    fn top_up(&mut self, now: Cycles) {
+        let paged = matches!(self.memory, Memory::Paged(_));
+        let open = |engine: &Self| {
+            !engine.ready.is_empty() && (paged || engine.has_slot(engine.batch.len()))
+        };
+        if !open(self) {
+            return;
+        }
+        // Snapshot the ready set once per top-up; `swap_remove` on both
+        // vectors in lockstep keeps indices aligned.
+        let mut snapshot: Vec<QueuedRequest> = self
+            .ready
+            .iter()
+            .map(|&idx| self.states[idx].as_queued())
+            .collect();
+        while open(self) {
+            let pick = self.policy.choose_join(&snapshot);
+            assert!(
+                pick < self.ready.len(),
+                "policy {} returned join index {pick} for a ready set of {}",
+                self.policy.name(),
+                self.ready.len()
+            );
+            let idx = self.ready[pick];
+            if !self.try_join(idx, now) && !self.revoke_for(idx, now, &mut snapshot) {
+                break;
+            }
+            snapshot.swap_remove(pick);
+            self.ready.swap_remove(pick);
+            let state = &mut self.states[idx];
+            if state.decode_start == 0 {
+                state.decode_start = now;
+            }
+            self.batch.push(idx);
+        }
+    }
+
+    /// Room for ready request `idx` in the batch without evicting anyone:
+    /// a free slot plus, in the KV memory, a reservation of its peak
+    /// footprint (flat), a restore of its spilled image, or growth of its
+    /// table to its context (paged).
+    fn try_join(&mut self, idx: usize, now: Cycles) -> bool {
+        if !self.has_slot(self.batch.len()) {
+            return false;
+        }
+        let state = &mut self.states[idx];
+        let pool = match &mut self.memory {
+            Memory::Flat(kv) => return kv.try_reserve(state.kv_bytes),
+            Memory::Paged(pool) => pool,
+        };
+        if let Some(ticket) = state.spill {
+            // A spilled stream re-joins by reading its image back; forced
+            // when the batch is empty, so decode progresses even while
+            // queued streams hold blocks.
+            if !pool.try_restore(&mut state.table, &ticket, self.batch.is_empty()) {
+                return false;
+            }
+            state.spill = None;
+            self.step_dma += Self::dma_transfer_cycles(&mut self.dma, ticket.bytes(), now);
+            return true;
+        }
+        let context = Tokens::new(state.context_tokens());
+        if pool.try_grow_to(&mut state.table, context) {
+            return true;
+        }
+        if self.accounted && self.batch.is_empty() {
+            // Queued streams hold pool blocks, so the sole-owner hatch
+            // cannot open; force the join — decode must drain.
+            pool.grow_to_forced(&mut state.table, context);
+            return true;
+        }
+        false
+    }
+
+    /// Priority-aware decode-slot revocation for a pick [`Self::try_join`]
+    /// refused: only strictly-less-urgent streams can be evicted for it, so
+    /// equal priorities wait instead of thrashing — and only when revoking
+    /// *all* of them would actually admit the pick, so a victim never pays
+    /// the re-prefill recompute for nothing. Evicts the least urgent until
+    /// the pick joins (`true`), or evicts nobody when revocation cannot
+    /// admit it (`false`; always so under a flat pool). Victims spilled
+    /// back to the ready set join `snapshot`.
+    fn revoke_for(&mut self, idx: usize, now: Cycles, snapshot: &mut Vec<QueuedRequest>) -> bool {
+        let Memory::Paged(pool) = &self.memory else {
+            return false;
+        };
+        let priority = self.states[idx].request.slo.priority;
+        let (evictable, freed) = self
+            .batch
+            .iter()
+            .filter(|&&v| self.states[v].request.slo.priority > priority)
+            .fold((0usize, 0u64), |(count, blocks), &v| {
+                (
+                    count + 1,
+                    blocks + pool.reclaimable_blocks(&self.states[v].table),
+                )
+            });
+        let needed = match self.states[idx].spill {
+            // A spilled pick re-admits by restoring its whole image, not by
+            // growing from an empty table.
+            Some(ticket) => ticket.blocks(),
+            None => pool
+                .blocks_for(Tokens::new(self.states[idx].context_tokens()))
+                .saturating_sub(self.states[idx].table.blocks()),
+        };
+        // Evicting the whole batch makes the pick the sole owner (the
+        // escape hatch always admits it); otherwise the freed blocks must
+        // leave room under the budget.
+        let kv_feasible = evictable == self.batch.len()
+            || pool
+                .block_bytes()
+                .checked_mul(pool.occupied_blocks() - freed + needed)
+                .unwrap_or(Bytes::MAX)
+                <= pool.budget_bytes();
+        if !(kv_feasible && self.has_slot(self.batch.len() - evictable)) {
+            return false;
+        }
+        loop {
+            let pos = self
+                .least_urgent()
+                .filter(|&pos| self.states[self.batch[pos]].request.slo.priority > priority)
+                // lint:allow(no-unwrap): kv_feasible checked above
+                .expect("feasibility guaranteed a victim");
+            let victim = self.batch.remove(pos);
+            if self.evict(victim, now) {
+                snapshot.push(self.states[victim].as_queued());
+            }
+            if self.try_join(idx, now) {
+                return true;
+            }
+        }
+    }
+
+    /// Growth: room in every paged table for the token its stream generates
+    /// this step. Under pressure the least-urgent member is evicted —
+    /// possibly the grower itself; a sole remaining stream always grows
+    /// (the pool's sole-owner escape hatch), so this terminates. Flat
+    /// reservations already cover the whole generation.
+    fn grow_batch(&mut self, now: Cycles) {
+        let mut i = 0;
+        while i < self.batch.len() {
+            let Memory::Paged(pool) = &mut self.memory else {
+                return;
+            };
+            let state = &mut self.states[self.batch[i]];
+            let target = Tokens::new(state.context_tokens() + 1);
+            if pool.try_grow_to(&mut state.table, target) {
+                i += 1;
+                continue;
+            }
+            if self.accounted && self.batch.len() == 1 {
+                // Sole batch member, but CC/ready streams hold accounted
+                // blocks so the pool's own sole-owner hatch stays shut: force
+                // the growth — decode must always progress.
+                pool.grow_to_forced(&mut state.table, target);
+                i += 1;
+                continue;
+            }
+            // lint:allow(no-unwrap): loop guard keeps batch non-empty
+            let pos = self.least_urgent().expect("non-empty batch");
+            let victim = self.batch.remove(pos);
+            self.evict(victim, now);
+            if pos < i {
+                i -= 1;
+            }
+        }
+    }
+
+    /// Position in the batch of the least-urgent member by (priority,
+    /// arrival, id): the eviction victim whenever one must be chosen.
+    /// Deterministic, so equal-priority pressure always resolves the same
+    /// way (the later arrival loses) and cannot ping-pong.
+    fn least_urgent(&self) -> Option<usize> {
+        self.batch
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &v)| {
+                let s = &self.states[v];
+                (s.request.slo.priority, s.arrival_cycle, s.request.id)
+            })
+            .map(|(pos, _)| pos)
+    }
+
+    /// Take `victim`, already out of the batch, off the MC stage. With room
+    /// in the spill area its KV image parks in DRAM and it re-queues on the
+    /// ready set with its state intact (`true`); otherwise recompute from
+    /// scratch is the fallback — its blocks are freed and it re-queues on
+    /// the CC stage for re-prefill over its accumulated context (`false`).
+    /// Only paged memory evicts; a flat pool leaves `victim` untouched.
+    fn evict(&mut self, victim: usize, now: Cycles) -> bool {
+        let Memory::Paged(pool) = &mut self.memory else {
+            return false;
+        };
+        let state = &mut self.states[victim];
+        match pool.try_spill(&mut state.table) {
+            Some(ticket) => {
+                self.step_dma += Self::dma_transfer_cycles(&mut self.dma, ticket.bytes(), now);
+                state.spill = Some(ticket);
+                self.ready.push(victim);
+                true
+            }
+            None => {
+                pool.evict(&mut state.table);
+                self.restarted_prefill_tokens += Tokens::new(state.context_tokens());
+                self.sim.requeue_for_reprefill(state);
+                self.cc_queue.push(victim);
+                false
+            }
+        }
+    }
+
+    /// Price a KV image transfer (spill, restore or copy-on-write) on the
+    /// serial DMA engine: the cycles from `now` until the transfer
+    /// completes, including any queueing behind an earlier transfer still
+    /// in flight. Zero when no engine is configured or nothing moves.
+    fn dma_transfer_cycles(dma: &mut Option<DmaEngine>, bytes: Bytes, now: Cycles) -> Cycles {
+        let Some(engine) = dma.as_mut() else {
+            return Cycles::ZERO;
+        };
+        if bytes.is_zero() {
+            return Cycles::ZERO;
+        }
+        let transcript = engine.submit(DmaRequest::new(bytes, MemTrafficClass::KvCache), now);
+        transcript.end_cycle - now
+    }
+
+    /// Record the queue depths, the batch size and the KV occupancy at `now`.
+    fn sample(&mut self, now: Cycles) {
+        self.queue_samples.push(QueueSample {
+            time_s: now.seconds_at(self.clock_hz),
+            waiting: self.cc_queue.len() + self.ready.len(),
+            active: self.batch.len(),
+            kv_bytes: match &self.memory {
+                Memory::Flat(kv) => kv.reserved_bytes(),
+                Memory::Paged(pool) => pool.occupied_bytes(),
+            },
+        });
+    }
+
+    /// Summarise the run into its [`ServeReport`] — one summary for both
+    /// drivers, so they can only ever differ in the state they reach, never
+    /// in how it is reported — and hand the collections back to `scratch`.
+    fn finish(self, scratch: &mut ServeScratch) -> ServeReport {
+        let clock_hz = self.clock_hz;
+        let states = &self.states;
+        debug_assert_eq!(
+            self.completed_order.len() + self.rejected_order.len(),
+            states.len()
         );
-        // Hand the allocations back for the next run.
-        scratch.states = states;
-        scratch.order = order;
-        scratch.events = events;
-        scratch.cc_queue = cc_queue;
-        scratch.ready = ready;
-        scratch.batch = batch;
-        scratch.completed_order = completed_order;
-        scratch.rejected_order = rejected_order;
-        scratch.kv_costs = kv_costs;
-        scratch.step_memo = step_memo;
-        scratch.weight_memo = weight_memo;
+        let completed: Vec<CompletedRequest> = self
+            .completed_order
+            .iter()
+            .map(|&idx| {
+                let s = &states[idx];
+                CompletedRequest {
+                    id: s.request.id,
+                    arrival_s: s.arrival_cycle.seconds_at(clock_hz),
+                    prefill_start_s: s.prefill_start.seconds_at(clock_hz),
+                    prefill_end_s: s.prefill_end.seconds_at(clock_hz),
+                    decode_start_s: s.decode_start.seconds_at(clock_hz),
+                    finish_s: s.finish.seconds_at(clock_hz),
+                    output_tokens: s.request.output_tokens,
+                    slo: s.request.slo,
+                }
+            })
+            .collect();
+        let rejected: Vec<RejectedRequest> = self
+            .rejected_order
+            .iter()
+            .map(|&(idx, cycle)| {
+                let s = &states[idx];
+                RejectedRequest {
+                    id: s.request.id,
+                    arrival_s: s.arrival_cycle.seconds_at(clock_hz),
+                    reject_s: cycle.seconds_at(clock_hz),
+                    slo: s.request.slo,
+                }
+            })
+            .collect();
+        let first_arrival = states
+            .iter()
+            .map(|s| s.arrival_cycle)
+            .min()
+            .unwrap_or(Cycles::ZERO);
+        // First arrival to *last completion* — a straggler that arrives
+        // after the machine drained and is promptly rejected consumed no
+        // resources and must not dilute the throughput metrics.
+        let makespan_s = self.completed_order.last().map_or(0.0, |&idx| {
+            (states[idx].finish - first_arrival).seconds_at(clock_hz)
+        });
+        let (evictions, spilled_kv_bytes, restored_kv_bytes, peak_kv_bytes) = match &self.memory {
+            Memory::Flat(kv) => (0, Bytes::ZERO, Bytes::ZERO, kv.peak_bytes()),
+            Memory::Paged(pool) => (
+                pool.evictions(),
+                pool.spilled_bytes(),
+                pool.restored_bytes(),
+                pool.peak_bytes(),
+            ),
+        };
+        scratch.samples_hint = self.queue_samples.len();
+        let report = ServeReport {
+            total_output_tokens: completed.iter().map(|r| Tokens::new(r.output_tokens)).sum(),
+            completed,
+            rejected,
+            queue_samples: self.queue_samples,
+            decode_steps: self.decode_steps,
+            preemptions: self.preemptions,
+            evictions,
+            restarted_prefill_tokens: self.restarted_prefill_tokens,
+            spilled_kv_bytes,
+            restored_kv_bytes,
+            peak_kv_bytes,
+            makespan_s,
+        };
+        scratch.states = self.states;
+        scratch.order = self.order;
+        scratch.cc_queue = self.cc_queue;
+        scratch.ready = self.ready;
+        scratch.batch = self.batch;
+        scratch.completed_order = self.completed_order;
+        scratch.rejected_order = self.rejected_order;
         report
     }
 }
@@ -3106,6 +2670,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "request ids must be unique")]
+    fn duplicate_ids_rejected_by_the_reference_driver() {
+        let m = machine();
+        let sim = simulator(&m, 2);
+        let requests = [
+            ServeRequest::new(5, 0.0, 8, 4),
+            ServeRequest::new(5, 0.1, 8, 4),
+        ];
+        sim.run_reference(&requests, &Fcfs);
+    }
+
+    #[test]
     #[should_panic(expected = "batch capacity must be at least 1")]
     fn zero_batch_cap_rejected() {
         let m = machine();
@@ -3199,6 +2775,13 @@ mod tests {
                 .with_kv_pool(kv)
                 .with_chunk_tokens(64)
                 .with_block_tokens(16),
+            ServeConfig::new()
+                .with_kv_pool(kv)
+                .with_chunk_tokens(64)
+                .with_block_tokens(16)
+                .with_prefix_sharing()
+                .with_eager_kv_accounting()
+                .with_spill_capacity(Bytes::new(64 << 20)),
         ];
         let traces = [
             TraceConfig::interactive(8, 40.0, 3).generate(),
